@@ -123,16 +123,7 @@ func mergeSnapshot(dst, src *serve.Snapshot) {
 	mergeHist(dst, src)
 	dst.EvalTimeMS += src.EvalTimeMS
 
-	dst.Ops.PMult += src.Ops.PMult
-	dst.Ops.HAdd += src.Ops.HAdd
-	dst.Ops.CMult += src.Ops.CMult
-	dst.Ops.SMult += src.Ops.SMult
-	dst.Ops.Packs += src.Ops.Packs
-	dst.Ops.FBSCalls += src.Ops.FBSCalls
-	dst.Ops.S2CCalls += src.Ops.S2CCalls
-	dst.Ops.Extractions += src.Ops.Extractions
-	dst.Ops.KeySwitches += src.Ops.KeySwitches
-	dst.Ops.LWEAdds += src.Ops.LWEAdds
+	dst.Ops = dst.Ops.Add(src.Ops)
 
 	dst.Sessions.Count += src.Sessions.Count
 	dst.Sessions.Bytes += src.Sessions.Bytes

@@ -55,10 +55,6 @@ func TestTraceTracksEngine(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = int64(rng.IntN(8))
 	}
-	if _, err := e.Infer(net, x); err != nil {
-		t.Fatal(err)
-	}
-
 	tr, err := Compile(net, p)
 	if err != nil {
 		t.Fatal(err)
@@ -72,31 +68,52 @@ func TestTraceTracksEngine(t *testing.T) {
 		case KS2C:
 			s2c++
 		case KFBS:
-			cmult += s.Counts.CMult
+			if s.Cat != CatSoftmax {
+				cmult += s.Counts.CMult
+			}
 		}
 	}
 	// The trace includes the softmax epilogue (2 extra pack/FBS/S2C
-	// rounds) that the engine's plain Infer path does not execute.
+	// rounds) that the engine's plain inference path does not execute.
 	packs -= 2
 	s2c -= 2
 
-	if packs != e.Stats.Packs {
-		t.Fatalf("pack count: trace %d vs engine %d", packs, e.Stats.Packs)
+	// The trace models one image, whose pending activation LUT fuses
+	// into the next layer's pack; a server-side batch of one must run
+	// that same schedule.
+	paths := []struct {
+		name string
+		run  func() error
+	}{
+		{"Infer", func() error {
+			_, err := e.Infer(net, x)
+			return err
+		}},
+		{"EvaluateEncryptedBatch/B=1", func() error {
+			in, err := e.EncryptInput(net, x)
+			if err != nil {
+				return err
+			}
+			_, err = e.EvaluateEncryptedBatch(net, []*core.EncryptedInput{in})
+			return err
+		}},
 	}
-	if s2c != e.Stats.S2CCalls {
-		t.Fatalf("S2C count: trace %d vs engine %d", s2c, e.Stats.S2CCalls)
-	}
-	// FBS CMults: trace models range-sized LUTs, the engine full-t
-	// tables; at t=257 and MaxAcc=120 both are ~45 per call. Allow 30%.
-	var softmaxCM int64
-	for _, s := range tr.Steps {
-		if s.Cat == CatSoftmax && s.Kind == KFBS {
-			softmaxCM += s.Counts.CMult
+	for _, d := range paths {
+		e.Stats = core.OpStats{}
+		if err := d.run(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	cmult -= softmaxCM
-	ratio := float64(cmult) / float64(e.Stats.CMult)
-	if ratio < 0.7 || ratio > 1.3 {
-		t.Fatalf("FBS CMult count: trace %d vs engine %d (ratio %.2f)", cmult, e.Stats.CMult, ratio)
+		if packs != e.Stats.Packs {
+			t.Fatalf("%s: pack count: trace %d vs engine %d", d.name, packs, e.Stats.Packs)
+		}
+		if s2c != e.Stats.S2CCalls {
+			t.Fatalf("%s: S2C count: trace %d vs engine %d", d.name, s2c, e.Stats.S2CCalls)
+		}
+		// FBS CMults: trace models range-sized LUTs, the engine full-t
+		// tables; at t=257 and MaxAcc=120 both are ~45 per call. Allow 30%.
+		ratio := float64(cmult) / float64(e.Stats.CMult)
+		if ratio < 0.7 || ratio > 1.3 {
+			t.Fatalf("%s: FBS CMult count: trace %d vs engine %d (ratio %.2f)", d.name, cmult, e.Stats.CMult, ratio)
+		}
 	}
 }

@@ -182,6 +182,16 @@ func TestEncryptedResidualBlock(t *testing.T) {
 	if e.Stats.LWEAdds == 0 {
 		t.Fatal("residual join did not use LWE additions")
 	}
+	// Across a batch, every image's post-join LUT must be the same
+	// cached evaluator, so the head's shared FBS round can apply it.
+	xs := []*qnn.IntTensor{x, randInput(1, 6, 6, 7, 330)}
+	batch, err := e.InferBatch(net, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range batch {
+		compareLogits(t, batch[i], net.ForwardInt(xs[i]).Data, 3)
+	}
 }
 
 func TestEncryptedProjectionShortcut(t *testing.T) {

@@ -50,12 +50,14 @@ type Engine struct {
 	packN      int
 	packBabies []*bfv.Ciphertext
 
-	luts  map[*qnn.QConv]*fbs.Evaluator
-	relus map[int]*fbs.Evaluator // post-add ReLU-clamp by ActBits
-	divs  map[int]*fbs.Evaluator // avg-pool divide by k²
+	// luts caches compiled FBS evaluators by what they compute: a
+	// conv's fused remap (*qnn.QConv), a residual join (*qnn.QResidual),
+	// a ReLU clamp (reluKey) or an avg-pool divide (divKey). A shared
+	// pending LUT is recognized by pointer identity across a batch.
+	luts map[any]*fbs.Evaluator
 
-	// lutMu guards the three LUT caches above: pooled lanes compile and
-	// look up evaluators concurrently during batched inference.
+	// lutMu guards luts: pooled lanes compile and look up evaluators
+	// concurrently during batched inference.
 	lutMu sync.Mutex
 
 	// w0 is the top-level evaluation worker (wrapping e.ev); lanes holds
@@ -73,12 +75,41 @@ type Engine struct {
 	Stats OpStats
 }
 
-// OpStats counts homomorphic operations issued by the engine.
+// OpStats counts homomorphic operations issued by the engine. The JSON
+// form is the "ops" block of the serving /metrics document.
 type OpStats struct {
-	PMult, HAdd, CMult, SMult int
-	Packs, FBSCalls, S2CCalls int
-	Extractions, KeySwitches  int
-	LWEAdds                   int
+	PMult       int `json:"pmult"`
+	HAdd        int `json:"hadd"`
+	CMult       int `json:"cmult"`
+	SMult       int `json:"smult"`
+	Packs       int `json:"packs"`
+	FBSCalls    int `json:"fbs_calls"`
+	S2CCalls    int `json:"s2c_calls"`
+	Extractions int `json:"extractions"`
+	KeySwitches int `json:"key_switches"`
+	LWEAdds     int `json:"lwe_adds"`
+}
+
+// Add returns the field-wise sum s + o.
+func (s OpStats) Add(o OpStats) OpStats { return s.combine(o, 1) }
+
+// Sub returns the field-wise difference s − o (the counts consumed
+// between two cumulative snapshots o and s).
+func (s OpStats) Sub(o OpStats) OpStats { return s.combine(o, -1) }
+
+func (s OpStats) combine(o OpStats, sign int) OpStats {
+	return OpStats{
+		PMult:       s.PMult + sign*o.PMult,
+		HAdd:        s.HAdd + sign*o.HAdd,
+		CMult:       s.CMult + sign*o.CMult,
+		SMult:       s.SMult + sign*o.SMult,
+		Packs:       s.Packs + sign*o.Packs,
+		FBSCalls:    s.FBSCalls + sign*o.FBSCalls,
+		S2CCalls:    s.S2CCalls + sign*o.S2CCalls,
+		Extractions: s.Extractions + sign*o.Extractions,
+		KeySwitches: s.KeySwitches + sign*o.KeySwitches,
+		LWEAdds:     s.LWEAdds + sign*o.LWEAdds,
+	}
 }
 
 // NewEngine generates all key material for params.
@@ -141,11 +172,9 @@ func newEngineShell(p Params) (*Engine, error) {
 		return nil, fmt.Errorf("core: LWE dimension %d must divide N/2=%d", p.LWEDim, ctx.N/2)
 	}
 	e := &Engine{
-		P:     p,
-		Ctx:   ctx,
-		luts:  make(map[*qnn.QConv]*fbs.Evaluator),
-		relus: make(map[int]*fbs.Evaluator),
-		divs:  make(map[int]*fbs.Evaluator),
+		P:    p,
+		Ctx:  ctx,
+		luts: make(map[any]*fbs.Evaluator),
 	}
 	fbsL, postL := p.Levels()
 	if e.ctxF, err = ctx.AtLevel(fbsL); err != nil {
@@ -217,33 +246,39 @@ func (e *Engine) zeroLWE() lwe.Ciphertext {
 	return lwe.Ciphertext{A: make([]uint64, e.P.LWEDim), B: 0, Q: e.P.T}
 }
 
-// lutFor compiles (and caches) the FBS evaluator of a conv's fused remap.
-func (e *Engine) lutFor(q *qnn.QConv) (*fbs.Evaluator, error) {
+// Cache keys of the parameterized LUTs in Engine.luts.
+type (
+	reluKey int // ReLU clamped to an activation bit width
+	divKey  int // rounded divide by an avg-pool window size
+)
+
+// cachedLUT returns the FBS evaluator of fn cached under key, compiling
+// it on first use.
+func (e *Engine) cachedLUT(key any, fn func(int64) int64) (*fbs.Evaluator, error) {
 	e.lutMu.Lock()
 	defer e.lutMu.Unlock()
-	if ev, ok := e.luts[q]; ok {
+	if ev, ok := e.luts[key]; ok {
 		return ev, nil
 	}
-	if q.MaxAcc >= int64(e.P.T/2) {
-		return nil, fmt.Errorf("core: %s accumulator bound %d exceeds t/2 = %d", q.OpName(), q.MaxAcc, e.P.T/2)
-	}
-	l := fbs.NewLUT(e.P.T, q.Remap)
-	ev, err := fbs.NewEvaluator(e.ctxF, l)
+	ev, err := fbs.NewEvaluator(e.ctxF, fbs.NewLUT(e.P.T, fn))
 	if err != nil {
 		return nil, err
 	}
-	e.luts[q] = ev
+	e.luts[key] = ev
 	return ev, nil
 }
 
-func (e *Engine) reluClampFor(actBits int) (*fbs.Evaluator, error) {
-	e.lutMu.Lock()
-	defer e.lutMu.Unlock()
-	if ev, ok := e.relus[actBits]; ok {
-		return ev, nil
+// lutFor returns the FBS evaluator of a conv's fused remap.
+func (e *Engine) lutFor(q *qnn.QConv) (*fbs.Evaluator, error) {
+	if q.MaxAcc >= int64(e.P.T/2) {
+		return nil, fmt.Errorf("core: %s accumulator bound %d exceeds t/2 = %d", q.OpName(), q.MaxAcc, e.P.T/2)
 	}
+	return e.cachedLUT(q, q.Remap)
+}
+
+func (e *Engine) reluClampFor(actBits int) (*fbs.Evaluator, error) {
 	lim := int64(1)<<(actBits-1) - 1
-	l := fbs.NewLUT(e.P.T, func(x int64) int64 {
+	return e.cachedLUT(reluKey(actBits), func(x int64) int64 {
 		if x < 0 {
 			return 0
 		}
@@ -252,27 +287,10 @@ func (e *Engine) reluClampFor(actBits int) (*fbs.Evaluator, error) {
 		}
 		return x
 	})
-	ev, err := fbs.NewEvaluator(e.ctxF, l)
-	if err != nil {
-		return nil, err
-	}
-	e.relus[actBits] = ev
-	return ev, nil
 }
 
 func (e *Engine) divideFor(kk int) (*fbs.Evaluator, error) {
-	e.lutMu.Lock()
-	defer e.lutMu.Unlock()
-	if ev, ok := e.divs[kk]; ok {
-		return ev, nil
-	}
-	l := fbs.NewLUT(e.P.T, func(x int64) int64 { return roundDiv(x, int64(kk)) })
-	ev, err := fbs.NewEvaluator(e.ctxF, l)
-	if err != nil {
-		return nil, err
-	}
-	e.divs[kk] = ev
-	return ev, nil
+	return e.cachedLUT(divKey(kk), func(x int64) int64 { return roundDiv(x, int64(kk)) })
 }
 
 func roundDiv(a, b int64) int64 {
@@ -430,55 +448,41 @@ func (wk *evalWorker) materialize(vs *valSet) (*valSet, error) {
 	return wk.forceMaterialize(vs)
 }
 
-// forceMaterialize runs pack → FBS → S2C → extract over the value set in
-// slot-capacity chunks. Each chunk is a full bootstrapping round, so the
-// chunks fan out across worker lanes; the chunk→key assignment is fixed
-// by the sorted key order and the per-chunk maps are merged afterwards,
-// keeping the result independent of scheduling.
+// forceMaterialize runs pack → FBS → S2C → extract over the value set,
+// applying its pending LUT.
 func (wk *evalWorker) forceMaterialize(vs *valSet) (*valSet, error) {
-	e := wk.e
-	keys := sortedKeys(vs)
-	n := e.Ctx.N
-	chunks := (len(keys) + n - 1) / n
-	maps := make([]map[vkey]lwe.Ciphertext, chunks)
-	errs := make([]error, chunks)
-	wk.forEach(chunks, par.Options{MinGrain: 1}, func(ln *evalWorker, ci int) {
-		start := ci * n
-		end := start + n
-		if end > len(keys) {
-			end = len(keys)
-		}
-		chunk := keys[start:end]
-		ordered := make([]lwe.Ciphertext, len(chunk))
-		validity := make([]bool, len(chunk))
-		for i, k := range chunk {
-			ordered[i] = vs.vals[k]
-			validity[i] = true
-		}
-		ct, err := ln.packFBS(ordered, vs.pending, e.slotMask(validity))
-		if err != nil {
-			errs[ci] = err
-			return
-		}
-		ct, err = ln.toCoeffs(ct)
-		if err != nil {
-			errs[ci] = err
-			return
-		}
-		entries := make([]coeffenc.ValidEntry, len(chunk))
-		for i, k := range chunk {
-			entries[i] = coeffenc.ValidEntry{Coeff: i, Cout: k.C, Y: k.Y, X: k.X}
-		}
-		maps[ci], errs[ci] = ln.extract(ct, entries)
-	})
-	if err := firstErr(errs); err != nil {
+	out, err := wk.materializeSets([]*valSet{vs}, vs.pending)
+	if err != nil {
 		return nil, err
 	}
-	out := &valSet{C: vs.C, H: vs.H, W: vs.W, vals: make(map[vkey]lwe.Ciphertext, len(keys))}
-	for _, m := range maps {
-		for k, v := range m {
-			out.vals[k] = v
+	return out[0], nil
+}
+
+// materializeSets applies lut to the values of every set through
+// batchLUT, filling the slot-capacity packs across the sets in (set,
+// sorted key) order, and returns each set's materialized
+// (identity-pending) values. The slot order is fixed, so the
+// redistribution is independent of scheduling.
+func (wk *evalWorker) materializeSets(vss []*valSet, lut *fbs.Evaluator) ([]*valSet, error) {
+	keys := make([][]vkey, len(vss))
+	var flat []lwe.Ciphertext
+	for i, vs := range vss {
+		keys[i] = sortedKeys(vs)
+		for _, k := range keys[i] {
+			flat = append(flat, vs.vals[k])
 		}
+	}
+	vals, err := wk.batchLUT(flat, lut)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*valSet, len(vss))
+	for i, vs := range vss {
+		m := make(map[vkey]lwe.Ciphertext, len(keys[i]))
+		for _, k := range keys[i] {
+			m[k], vals = vals[0], vals[1:]
+		}
+		out[i] = &valSet{C: vs.C, H: vs.H, W: vs.W, vals: m}
 	}
 	return out, nil
 }

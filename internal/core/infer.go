@@ -17,9 +17,6 @@ import (
 // returns the decrypted output logits. It is the convenience wrapper
 // around the three-phase client/server API in session.go.
 func (e *Engine) Infer(q *qnn.QNetwork, x *qnn.IntTensor) ([]int64, error) {
-	if len(q.Blocks) == 0 {
-		return nil, fmt.Errorf("core: empty network")
-	}
 	in, err := e.EncryptInput(q, x)
 	if err != nil {
 		return nil, err
@@ -31,7 +28,7 @@ func (e *Engine) Infer(q *qnn.QNetwork, x *qnn.IntTensor) ([]int64, error) {
 	return e.DecryptLogits(out)
 }
 
-// inputState wraps either pre-encrypted conv inputs (first layer) or the
+// inferState wraps either pre-encrypted conv inputs (first layer) or the
 // usual labeled LWE values.
 type inferState struct {
 	vs *valSet
@@ -44,28 +41,6 @@ type inferState struct {
 	// has run. Keeping it in the per-inference state (rather than on the
 	// engine) lets batched images evaluate concurrently.
 	final *finalResult
-}
-
-func (e *Engine) encryptInput(q *qnn.QNetwork, x *qnn.IntTensor) (*inferState, error) {
-	first, err := firstConv(q)
-	if err != nil {
-		return nil, err
-	}
-	if x.C != first.Shape.Cin || x.H != first.Shape.H || x.W != first.Shape.W {
-		return nil, fmt.Errorf("core: input %dx%dx%d does not match first layer %dx%dx%d",
-			x.C, x.H, x.W, first.Shape.Cin, first.Shape.H, first.Shape.W)
-	}
-	plan, err := coeffenc.NewPlan(first.Shape, e.Ctx.N, coeffenc.AthenaOrder)
-	if err != nil {
-		return nil, err
-	}
-	m3 := x.To3D()
-	inputs := make([]*bfv.Ciphertext, plan.InBatches)
-	for ib := 0; ib < plan.InBatches; ib++ {
-		vec := plan.EncodeInput(m3, ib)
-		inputs[ib] = e.enc.Encrypt(e.cod.EncodeCoeffs(vec))
-	}
-	return &inferState{firstInputs: inputs, firstPlan: plan}, nil
 }
 
 func firstConv(q *qnn.QNetwork) (*qnn.QConv, error) {
@@ -227,11 +202,12 @@ func (wk *evalWorker) residualBlock(r *qnn.QResidual, st *inferState) (*inferSta
 		out.vals[k] = e.addLWE(b, s)
 		wk.stats.LWEAdds++
 	}
-	joinLUT, err := fbs.NewEvaluator(e.ctxF, fbs.NewLUT(e.P.T, r.JoinRemap))
+	// The join LUT is cached per block, so every image of a batch
+	// carries the same pending evaluator into the shared FBS round.
+	out.pending, err = e.cachedLUT(r, r.JoinRemap)
 	if err != nil {
 		return nil, err
 	}
-	out.pending = joinLUT
 	out.fn = r.JoinRemap
 	return &inferState{vs: out}, nil
 }

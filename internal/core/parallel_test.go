@@ -149,9 +149,10 @@ func TestInferBatchBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestInferBatchSingleImage pins the batch-of-1 edge case: the shared
-// materialization degenerates to per-image chunks and must still agree
-// with the plaintext reference.
+// TestInferBatchSingleImage pins the batch-of-1 edge case: with nothing
+// to share, the pending LUT stays fused into the next layer's pack (no
+// shared materialization round), so the result must agree with the
+// plaintext reference at the single-image tolerance.
 func TestInferBatchSingleImage(t *testing.T) {
 	e := testEngine(t)
 	net := detNet()
@@ -164,7 +165,7 @@ func TestInferBatchSingleImage(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("batch of 1 returned %d results", len(got))
 	}
-	compareLogits(t, got[0], want, 3)
+	compareLogits(t, got[0], want, 2)
 }
 
 // TestInferBatchOverflowsSlotCapacity drives the batch past the FBS slot

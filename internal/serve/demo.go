@@ -15,7 +15,9 @@ import (
 // is deliberate: the 1/16 first-layer multiplier keeps activations ≤ 3
 // and the 32-input, 1/8-multiplier dense head keeps the accumulated per-activation
 // e_ms noise within the repo's ±3 batched tolerance at t = 257 (a
-// wider 72-input head was measured at ±6).
+// wider 72-input head was measured at ±6). ±3 is the bound for batches
+// of two or more, whose shared FBS round adds one extraction rounding;
+// a batch of one takes the fused single-image path.
 func DemoNet() *qnn.QNetwork {
 	rng := rand.New(rand.NewPCG(7, 8))
 	mk := func(shape coeffenc.ConvShape, act qnn.Activation, mult float64) *qnn.QConv {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -82,56 +83,8 @@ func TestServeSixteenConcurrentClients(t *testing.T) {
 	})
 
 	const N = 16
-	// Encrypt serially: encryption consumes the engine's PRNG stream.
-	ins := make([]*core.EncryptedInput, N)
-	refs := make([][]int64, N)
-	for i := 0; i < N; i++ {
-		x := serve.DemoInput(uint64(300 + i))
-		refs[i] = model.ForwardInt(x).Data
-		var err error
-		ins[i], err = eng.EncryptInput(model, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Connection 0 uploads the keys; the other 15 attach by ID — the
-	// session is shared, which is what makes their requests batchable.
-	clients := make([]*client.Client, N)
-	for i := range clients {
-		c, err := client.Dial(addr, eng, client.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		clients[i] = c
-	}
-	id, err := clients[0].OpenSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < N; i++ {
-		if err := clients[i].Attach(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	outs := make([]*core.EncryptedLogits, N)
-	errs := make([]error, N)
-	var wg sync.WaitGroup
-	for i := 0; i < N; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i], errs[i] = clients[i].InferEncrypted(model, ins[i], 0)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-	}
+	clients, ins, refs := sharedSessionClients(t, addr, eng, model, N)
+	outs := runClients(t, clients, model, ins)
 	// Decrypt serially on the client engine and check against plaintext
 	// at the repo's batched e_ms tolerance.
 	for i := range outs {
@@ -161,6 +114,121 @@ func TestServeSixteenConcurrentClients(t *testing.T) {
 	}
 	t.Logf("16 clients: %d batches, mean batch size %.2f, %d FBS calls",
 		snap.Batches, snap.MeanBatchSize, snap.Ops.FBSCalls)
+}
+
+// sharedSessionClients encrypts n DemoInputs on eng (serially:
+// encryption consumes the engine's PRNG stream) with their plaintext
+// references, and dials n connections to addr. Connection 0 uploads the
+// keys; the others attach by ID — the session is shared, which is what
+// makes their requests batchable.
+func sharedSessionClients(t *testing.T, addr string, eng *core.Engine, model *qnn.QNetwork, n int) ([]*client.Client, []*core.EncryptedInput, [][]int64) {
+	t.Helper()
+	ins := make([]*core.EncryptedInput, n)
+	refs := make([][]int64, n)
+	for i := range ins {
+		x := serve.DemoInput(uint64(300 + i))
+		refs[i] = model.ForwardInt(x).Data
+		var err error
+		ins[i], err = eng.EncryptInput(model, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	clients := make([]*client.Client, n)
+	for i := range clients {
+		c, err := client.Dial(addr, eng, client.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		clients[i] = c
+	}
+	id, err := clients[0].OpenSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range clients[1:] {
+		if err := c.Attach(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return clients, ins, refs
+}
+
+// runClients sends ins[i] on clients[i], all concurrently, and fails the
+// test on any request error.
+func runClients(t *testing.T, clients []*client.Client, model *qnn.QNetwork, ins []*core.EncryptedInput) []*core.EncryptedLogits {
+	t.Helper()
+	outs := make([]*core.EncryptedLogits, len(clients))
+	errs := make([]error, len(clients))
+	var wg sync.WaitGroup
+	for i := range clients {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i], errs[i] = clients[i].InferEncrypted(model, ins[i], 0)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+	}
+	return outs
+}
+
+// TestServeMetricsSnapshotInvariant pins the /metrics accounting order:
+// while 16 clients stream requests through small batches, a reader
+// snapshotting continuously must never see a completed request whose
+// batch is not yet counted (completed ≤ images, and at least one batch
+// once anything completed).
+func TestServeMetricsSnapshotInvariant(t *testing.T) {
+	eng := itEngine(t)
+	model := serve.DemoNet()
+	srv, addr := startServer(t, serve.Config{
+		MaxBatch: 4,
+		MaxWait:  10 * time.Millisecond,
+		MaxQueue: 64,
+	})
+	const N = 16
+	clients, ins, _ := sharedSessionClients(t, addr, eng, model, N)
+
+	stop := make(chan struct{})
+	bad := make(chan serve.Snapshot, 1)
+	snaps := 0
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := srv.Metrics()
+			snaps++
+			if s.Requests.Completed > s.Images || (s.Requests.Completed > 0 && s.Batches < 1) {
+				bad <- s
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	runClients(t, clients, model, ins)
+	close(stop)
+	reader.Wait()
+	select {
+	case s := <-bad:
+		t.Fatalf("snapshot counted %d completed requests against %d images in %d batches",
+			s.Requests.Completed, s.Images, s.Batches)
+	default:
+	}
+	if s := srv.Metrics(); s.Requests.Completed != N || s.Images != N {
+		t.Fatalf("final snapshot: %d completed, %d images, want %d", s.Requests.Completed, s.Images, N)
+	}
+	t.Logf("%d snapshots, none inconsistent", snaps)
 }
 
 // TestServeBusyPreservesSessions: overflowing the admission queue
